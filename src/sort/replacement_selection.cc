@@ -22,8 +22,7 @@ ReplacementSelectionRunGenerator::ReplacementSelectionRunGenerator(
     const RunGeneratorOptions& options)
     : spill_(spill),
       comparator_(comparator),
-      options_(options),
-      heap_(EntryGreater{}) {}
+      options_(options) {}
 
 Status ReplacementSelectionRunGenerator::Add(Row row) {
   TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
@@ -40,7 +39,17 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
                           options_.arbiter->Acquire("run-generation", 0));
   }
   TOPK_RETURN_NOT_OK(lease_.EnsureAtLeast(buffered_bytes_));
-  heap_.push(Entry{seq, norm, std::move(row)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.push_back(std::move(row));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(row);
+  }
+  heap_.push_back(Entry{norm, static_cast<uint32_t>(seq), slot});
+  std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
   ++stats_.rows_added;
   stats_.rows_in_memory = heap_.size();
   stats_.peak_memory_bytes =
@@ -69,19 +78,25 @@ Status ReplacementSelectionRunGenerator::Add(Row row) {
 }
 
 Status ReplacementSelectionRunGenerator::SpillOne() {
-  Entry entry = heap_.top();
-  heap_.pop();
-  buffered_bytes_ -= entry.row.MemoryFootprint() + kPerRowOverheadBytes;
+  std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
+  const Entry entry = heap_.back();
+  heap_.pop_back();
+  // Moving the row out keeps its payload capacity, so the release below
+  // matches what Add charged, and the payload is freed when `row` dies
+  // here instead of lingering in the recycled slot.
+  const Row row = std::move(slots_[entry.slot]);
+  free_slots_.push_back(entry.slot);
+  buffered_bytes_ -= row.MemoryFootprint() + kPerRowOverheadBytes;
 
-  if (entry.run_seq != current_seq_) {
+  if (entry.run_seq != static_cast<uint32_t>(current_seq_)) {
     // The current logical run is exhausted; start the next one.
     TOPK_RETURN_NOT_OK(CloseRun());
-    current_seq_ = entry.run_seq;
+    ++current_seq_;
     has_last_spilled_ = false;
   }
 
   if (options_.observer != nullptr &&
-      options_.observer->EliminateAtSpill(entry.row)) {
+      options_.observer->EliminateAtSpill(row)) {
     ++stats_.rows_eliminated_at_spill;
     return Status::OK();
   }
@@ -90,9 +105,9 @@ Status ReplacementSelectionRunGenerator::SpillOne() {
     TOPK_RETURN_NOT_OK(CloseRun());
   }
   TOPK_RETURN_NOT_OK(EnsureWriter());
-  TOPK_RETURN_NOT_OK(writer_->Append(entry.row));
+  TOPK_RETURN_NOT_OK(writer_->Append(row));
   if (options_.observer != nullptr) {
-    options_.observer->OnRowSpilled(entry.row);
+    options_.observer->OnRowSpilled(row);
   }
   ++stats_.rows_spilled;
   ++rows_in_physical_run_;
@@ -133,6 +148,9 @@ Status ReplacementSelectionRunGenerator::Flush() {
     TOPK_RETURN_NOT_OK(SpillOne());
   }
   TOPK_RETURN_NOT_OK(CloseRun());
+  heap_ = std::vector<Entry>();
+  slots_ = std::vector<Row>();
+  free_slots_ = std::vector<uint32_t>();
   buffered_bytes_ = 0;
   lease_.Release();
   stats_.rows_in_memory = 0;

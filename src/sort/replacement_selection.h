@@ -1,8 +1,8 @@
 #ifndef TOPK_SORT_REPLACEMENT_SELECTION_H_
 #define TOPK_SORT_REPLACEMENT_SELECTION_H_
 
+#include <cstdint>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "sort/run_generation.h"
@@ -20,6 +20,9 @@ namespace topk {
 ///
 /// Variable-size rows are supported: the memory budget is tracked in bytes,
 /// so the number of buffered rows floats with row sizes.
+///
+/// The heap holds only 24-byte (normalized key, run, slot) entries; the
+/// rows stay put in a slot vector until they are spilled.
 ///
 /// Physical runs are additionally cut at `run_row_limit` rows (the top-k
 /// "limit run size to k" optimization); a cut mid-sequence is safe because
@@ -42,20 +45,31 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   uint64_t current_run_seq() const { return current_seq_; }
 
  private:
+  /// One selection-heap entry: the row's sort position plus the slot that
+  /// holds the row itself. Trivially copyable and 24 bytes, so every heap
+  /// sift moves a small key/index pair instead of a whole row with its
+  /// payload string (the key/pointer layout of Polyntsov et al.).
   struct Entry {
-    uint64_t run_seq;
     /// The row's sort order, encoded once at Add time: every heap sift
     /// compares two integers instead of re-running RowComparator, and a
     /// NaN key takes its defined place instead of corrupting the heap
     /// invariant.
     NormalizedKey norm;
-    Row row;
+    /// Low 32 bits of the logical run sequence. The heap only ever holds
+    /// rows of the current run and the next one, so the wrapping
+    /// difference orders them exactly.
+    uint32_t run_seq;
+    /// Index into slots_.
+    uint32_t slot;
   };
+  static_assert(sizeof(Entry) == 24);
 
   /// Orders the selection heap: smallest (run_seq, normalized key) on top.
   struct EntryGreater {
     bool operator()(const Entry& a, const Entry& b) const {
-      if (a.run_seq != b.run_seq) return a.run_seq > b.run_seq;
+      if (a.run_seq != b.run_seq) {
+        return static_cast<int32_t>(a.run_seq - b.run_seq) > 0;
+      }
       return b.norm < a.norm;
     }
   };
@@ -71,7 +85,14 @@ class ReplacementSelectionRunGenerator : public RunGenerator {
   RunGeneratorOptions options_;
   RunGeneratorStats stats_;
 
-  std::priority_queue<Entry, std::vector<Entry>, EntryGreater> heap_;
+  /// Binary min-heap (std::push_heap/pop_heap under EntryGreater) over the
+  /// buffered rows.
+  std::vector<Entry> heap_;
+  /// The buffered rows, addressed by Entry::slot. A spilled row is moved
+  /// out, so its payload is freed at spill time, and its slot is recycled
+  /// through free_slots_.
+  std::vector<Row> slots_;
+  std::vector<uint32_t> free_slots_;
   size_t buffered_bytes_ = 0;
   /// Lease covering buffered_bytes_ (detached without an arbiter).
   MemoryLease lease_;

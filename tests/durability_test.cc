@@ -1,10 +1,13 @@
 /// Storage durability features: run checksums, verification, disk quotas.
 
+#include <algorithm>
 #include <fstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/crc32.h"
+#include "common/random.h"
 #include "io/spill_manager.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
@@ -19,6 +22,57 @@ TEST(Crc32cTest, KnownVector) {
   // RFC 3720 test vector: CRC-32C of "123456789" is 0xE3069283.
   const char data[] = "123456789";
   EXPECT_EQ(Crc32c(0, data, 9), 0xE3069283u);
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  // RFC 3720 Appendix B.4 test vectors, through both implementations.
+  std::vector<unsigned char> zeros(32, 0x00), ones(32, 0xFF), ascending(32);
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<unsigned char>(i);
+  for (const auto crc : {Crc32c, Crc32cTable}) {
+    EXPECT_EQ(crc(0, zeros.data(), zeros.size()), 0x8A9136AAu);
+    EXPECT_EQ(crc(0, ones.data(), ones.size()), 0x62A8AB43u);
+    EXPECT_EQ(crc(0, ascending.data(), ascending.size()), 0x46DD794Eu);
+    EXPECT_EQ(crc(0, "123456789", 9), 0xE3069283u);
+  }
+}
+
+TEST(Crc32cTest, MatchesTableAtEveryLengthAndAlignment) {
+  // Crc32c takes the 8-byte SSE4.2 path where the CPU has it; every length
+  // (word loop plus byte tail) at every start offset (unaligned loads) must
+  // agree with the table implementation, also when chained from a nonzero
+  // seed.
+  Random rng(3720);
+  std::vector<unsigned char> buffer(8 + 300);
+  for (auto& byte : buffer) byte = static_cast<unsigned char>(rng.NextUint64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const unsigned char* data = buffer.data() + offset;
+      ASSERT_EQ(Crc32c(0, data, length), Crc32cTable(0, data, length))
+          << "offset=" << offset << " length=" << length;
+      ASSERT_EQ(Crc32c(0xDEADBEEFu, data, length),
+                Crc32cTable(0xDEADBEEFu, data, length))
+          << "offset=" << offset << " length=" << length;
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedOverRandomSplitsMatchesOneShot) {
+  Random rng(7);
+  std::vector<unsigned char> data(4096);
+  for (auto& byte : data) byte = static_cast<unsigned char>(rng.NextUint64());
+  const uint32_t one_shot = Crc32cTable(0, data.data(), data.size());
+  EXPECT_EQ(Crc32c(0, data.data(), data.size()), one_shot);
+  for (int trial = 0; trial < 50; ++trial) {
+    uint32_t chained = 0;
+    size_t pos = 0;
+    while (pos < data.size()) {
+      const size_t piece =
+          std::min<size_t>(rng.NextUint64(40), data.size() - pos);
+      chained = Crc32c(chained, data.data() + pos, piece);
+      pos += piece;
+    }
+    ASSERT_EQ(chained, one_shot) << "trial " << trial;
+  }
 }
 
 TEST(Crc32cTest, IncrementalMatchesOneShot) {

@@ -15,7 +15,11 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/resource_arbiter.h"
+#include "io/block_io.h"
+#include "io/spill_manager.h"
+#include "sort/replacement_selection.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -202,6 +206,50 @@ TEST(MemoryConformanceTest, MeasuredHeapBacksTheGrantedBytes) {
       << measured_peak_delta << ", arbiter peak=" << arbiter.peak_bytes()
       << ")";
   EXPECT_GT(arbiter.peak_bytes(), 0u);
+}
+
+TEST(MemoryConformanceTest, ReplacementSelectionLeaseCoversLiveHeap) {
+  // The selection heap's real footprint — row slots, heap entries and the
+  // buffered payloads — must stay within the generator's lease while it
+  // spills, and be gone once Flush has returned the lease: a spilled row's
+  // payload is freed at spill time, never parked in a recycled slot.
+  // Unleased extras allowed for: the open run's block buffer, plus one
+  // chunk for vector growth headroom and spill metadata.
+  ScratchDir scratch;
+  StorageEnv env;
+  auto spill = SpillManager::Create(&env, scratch.str());
+  ASSERT_TRUE(spill.ok()) << spill.status().ToString();
+  MemoryArbiter arbiter;
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = 2 << 20;
+  options.arbiter = &arbiter;
+  Random rng(47);
+  const size_t unleased = kDefaultBlockBytes + kChunk;
+
+  const size_t live_before = g_live_bytes.load(std::memory_order_relaxed);
+  auto live_delta = [&] {
+    return g_live_bytes.load(std::memory_order_relaxed) - live_before;
+  };
+  {
+    ReplacementSelectionRunGenerator gen(spill->get(), RowComparator(),
+                                         options);
+    for (int i = 0; i < 200000; ++i) {
+      // Rows are built here, so their payload allocations count as the
+      // generator's until it frees them.
+      ASSERT_TRUE(gen.Add(Row(rng.NextDouble(), i,
+                              std::string(24 + rng.NextUint64(96), 'r')))
+                      .ok());
+      if (i % 1000 == 999) {
+        ASSERT_LE(live_delta(), arbiter.granted_bytes() + unleased)
+            << "after row " << i;
+      }
+    }
+    EXPECT_GT(gen.stats().rows_spilled, 100000u)
+        << "never reached steady spilling";
+    ASSERT_TRUE(gen.Flush().ok());
+    EXPECT_EQ(arbiter.granted_bytes(), 0u);
+    EXPECT_LE(live_delta(), kChunk) << "buffered rows outlived Flush";
+  }
 }
 
 TEST(MemoryConformanceTest, FirstGrantDenialFailsTheQueryCleanly) {

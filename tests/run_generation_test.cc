@@ -1,11 +1,18 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <limits>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
 #include "gen/generator.h"
 #include "sort/replacement_selection.h"
@@ -324,6 +331,131 @@ TEST_F(ReplacementSelectionTest, PipelinedOperationNeverHoldsInputBack) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(gen.Add(Row(rng.NextDouble(), i)).ok());
     EXPECT_LE(gen.stats().rows_in_memory, 51u);
+  }
+}
+
+TEST_F(ReplacementSelectionTest, SlackPayloadCapacityDoesNotRatchetAccounting) {
+  // Regression: SpillOne once released the footprint of a *copy* of the
+  // spilled row, whose payload has no spare capacity, while Add had charged
+  // the original's. Rows whose payload capacity exceeds its size then
+  // ratcheted buffered bytes upward until every Add spilled (4,908 runs and
+  // a 3.5 MB reported peak for this input). Spilling the row itself
+  // releases exactly what was charged.
+  RunGeneratorOptions options;
+  options.memory_limit_bytes = 64 * 1024;
+  ReplacementSelectionRunGenerator gen(spill_.get(), RowComparator(),
+                                       options);
+  Random rng(12);
+  size_t row_cost = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string payload;
+    payload.reserve(200);
+    payload.assign(24, 'q');
+    Row row(rng.NextDouble(), i, std::move(payload));
+    row_cost = row.MemoryFootprint() + kPerRowOverheadBytes;
+    ASSERT_TRUE(gen.Add(std::move(row)).ok());
+  }
+  ASSERT_TRUE(gen.Flush().ok());
+  EXPECT_LE(gen.stats().peak_memory_bytes,
+            options.memory_limit_bytes + row_cost);
+  // ~220 rows fit the budget, and random input makes runs of about twice
+  // that (~47 runs); a drifting budget makes them ever shorter.
+  const size_t rows_in_memory = options.memory_limit_bytes / row_cost;
+  EXPECT_LT(spill_->run_count(), 20000 / rows_in_memory);
+  EXPECT_EQ(gen.stats().rows_spilled, 20000u);
+}
+
+/// Bit-exact identity of a row, for multiset comparison: NaN payloads and
+/// the sign of zero must survive the trip through a run file.
+std::tuple<uint64_t, uint64_t, std::string> RowIdentity(const Row& row) {
+  return {std::bit_cast<uint64_t>(row.key), row.id, row.payload};
+}
+
+TEST_F(ReplacementSelectionTest, RunFilesAreSortedCompleteAndChecksummed) {
+  // Keys mix NaN, both zeros, infinities and heavy duplicates (ids repeat
+  // too); payload sizes span empty, inline (SSO) and heap-allocated.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {nan, -nan, 0.0, -0.0, inf, -inf,
+                                        1.5, -1.5};
+  const std::vector<size_t> payload_sizes = {0, 8, 24, 64, 300};
+  Random rng(2718);
+  std::vector<Row> input;
+  for (int i = 0; i < 6000; ++i) {
+    double key;
+    switch (rng.NextUint64(3)) {
+      case 0:
+        key = specials[rng.NextUint64(specials.size())];
+        break;
+      case 1:
+        key = static_cast<double>(rng.NextUint64(20));
+        break;
+      default:
+        key = rng.NextDouble() * 2.0 - 1.0;
+    }
+    const size_t size = payload_sizes[rng.NextUint64(payload_sizes.size())];
+    std::string payload(size, '\0');
+    for (char& c : payload) c = static_cast<char>(rng.NextUint64(256));
+    input.emplace_back(key, rng.NextUint64(3000), std::move(payload));
+  }
+  auto oracle = [](std::vector<Row> rows) {
+    std::vector<std::tuple<uint64_t, uint64_t, std::string>> ids;
+    for (const Row& row : rows) ids.push_back(RowIdentity(row));
+    std::sort(ids.begin(), ids.end());
+    return ids;
+  };
+  const auto expected = oracle(input);
+
+  int cases = 0;
+  for (const SortDirection direction :
+       {SortDirection::kAscending, SortDirection::kDescending}) {
+    for (const size_t limit : {size_t{2} << 10, size_t{16} << 10,
+                               size_t{128} << 10, size_t{8} << 20}) {
+      SCOPED_TRACE("limit " + std::to_string(limit) + " descending " +
+                   std::to_string(direction == SortDirection::kDescending));
+      auto spill = SpillManager::Create(
+          &env_, (dir_ / std::to_string(cases++)).string());
+      ASSERT_TRUE(spill.ok());
+      const RowComparator cmp(direction);
+      RunGeneratorOptions options;
+      options.memory_limit_bytes = limit;
+      // Physical cuts inside a logical run must not break either property.
+      if (limit == (size_t{16} << 10)) options.run_row_limit = 97;
+      ReplacementSelectionRunGenerator gen(spill->get(), cmp, options);
+      for (const Row& row : input) ASSERT_TRUE(gen.Add(row).ok());
+      ASSERT_TRUE(gen.Flush().ok());
+
+      std::vector<Row> all;
+      for (const RunMeta& meta : (*spill)->runs()) {
+        auto reader = (*spill)->OpenRun(meta);
+        ASSERT_TRUE(reader.ok());
+        std::vector<Row> run;
+        Row row;
+        bool eof = false;
+        for (;;) {
+          ASSERT_TRUE((*reader)->Next(&row, &eof).ok());
+          if (eof) break;
+          run.push_back(row);
+        }
+        ASSERT_EQ(run.size(), meta.rows);
+        for (size_t i = 1; i < run.size(); ++i) {
+          ASSERT_FALSE(cmp.Less(run[i], run[i - 1]))
+              << "run " << meta.id << " unsorted at row " << i;
+        }
+        std::move(run.begin(), run.end(), std::back_inserter(all));
+
+        // The recorded checksum is the reference table CRC over the file's
+        // row bytes (everything after the 8-byte magic).
+        std::ifstream file(meta.path, std::ios::binary);
+        const std::string bytes((std::istreambuf_iterator<char>(file)),
+                                std::istreambuf_iterator<char>());
+        ASSERT_EQ(bytes.size(), meta.bytes);
+        EXPECT_EQ(meta.crc32c,
+                  Crc32cTable(0, bytes.data() + 8, bytes.size() - 8));
+        EXPECT_TRUE((*spill)->VerifyRun(meta, cmp).ok());
+      }
+      EXPECT_TRUE(oracle(std::move(all)) == expected);
+    }
   }
 }
 
