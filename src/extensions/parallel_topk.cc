@@ -144,12 +144,9 @@ Status ParallelTopK::Start() {
                            options_.num_workers,
                        64 * 1024);
   const uint64_t avg_row_guess = 128 + kPerRowOverheadBytes;
-  uint64_t expected_run_rows =
-      2 * std::max<uint64_t>(per_worker_memory / avg_row_guess, 1);
-  if (options_.base.limit_run_size_to_output) {
-    expected_run_rows =
-        std::min(expected_run_rows, options_.base.output_rows());
-  }
+  const uint64_t expected_run_rows =
+      std::min(2 * std::max<uint64_t>(per_worker_memory / avg_row_guess, 1),
+               options_.base.output_rows());
 
   CutoffFilter::Options filter_options;
   filter_options.k = options_.base.output_rows();
@@ -190,9 +187,7 @@ Status ParallelTopK::Start() {
         policy);
     RunGeneratorOptions gen_options;
     gen_options.memory_limit_bytes = per_worker_memory;
-    if (options_.base.limit_run_size_to_output) {
-      gen_options.run_row_limit = options_.base.output_rows();
-    }
+    gen_options.run_row_limit = options_.base.output_rows();
     gen_options.observer = worker->observer.get();
     worker->generator = std::make_unique<ReplacementSelectionRunGenerator>(
         spill_.get(), comparator_, gen_options);

@@ -361,13 +361,13 @@ Result<std::unique_ptr<RunReader>> SpillManager::OpenRun(
     const RunMeta& meta, size_t prefetch_depth_cap) const {
   ThreadPool* prefetch_pool =
       io_options_.enable_prefetch ? io_pool_.get() : nullptr;
+  // Every fully-drained run is checked against its recorded CRC-32C and
+  // row count inline (a mismatch is permanent Corruption, never retried).
   RunReadVerification verify;
-  if (io_options_.verify_read_checksums) {
-    verify.enabled = true;
-    verify.expected_crc32c = meta.crc32c;
-    verify.expected_rows = meta.rows;
-    verify.run_id = meta.id;
-  }
+  verify.enabled = true;
+  verify.expected_crc32c = meta.crc32c;
+  verify.expected_rows = meta.rows;
+  verify.run_id = meta.id;
   PrefetchTuning tuning;
   tuning.hedge_reads = io_options_.hedge_reads;
   tuning.hedge_latency_multiplier = io_options_.hedge_latency_multiplier;

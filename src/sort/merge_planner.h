@@ -9,6 +9,7 @@
 #include "histogram/cutoff_filter.h"
 #include "io/spill_manager.h"
 #include "row/row.h"
+#include "sort/merger.h"
 
 namespace topk {
 
@@ -61,6 +62,21 @@ struct MergePlanStats {
 Result<std::vector<RunMeta>> ReduceRunsForFinalMerge(
     SpillManager* spill, const RowComparator& comparator,
     const MergePlannerOptions& options, MergePlanStats* stats = nullptr);
+
+/// Merges `inputs` into one new run and commits the step crash-safely: the
+/// inputs are deregistered but their files kept, the output is registered
+/// (which checkpoints an auto-manifest) — or, when nothing survived the
+/// merge, the shrunken registry is checkpointed — the manifest is made
+/// durable, and only then are the input files deleted. A crash at any
+/// point leaves a manifest whose runs all exist on disk. `quota_exempt`
+/// exempts the output from the spill quota while it is written (see
+/// SpillManager::NewRun). Returns the step's merge statistics; the output
+/// was registered iff rows_emitted > 0.
+Result<MergeStats> MergeRunsIntoOne(SpillManager* spill,
+                                    const std::vector<RunMeta>& inputs,
+                                    const RowComparator& comparator,
+                                    const MergeOptions& options,
+                                    bool quota_exempt = false);
 
 /// Orders runs by the chosen policy; exposed for tests.
 void OrderRunsForMerge(std::vector<RunMeta>* runs,

@@ -36,29 +36,27 @@ bool ParseTopKAlgorithm(const std::string& name, TopKAlgorithm* out) {
   return true;
 }
 
+namespace {
+/// Widens a concrete operator factory result to the TopKOperator interface.
+template <typename Op>
+Result<std::unique_ptr<TopKOperator>> AsOperator(
+    Result<std::unique_ptr<Op>> op) {
+  if (!op.ok()) return op.status();
+  return std::unique_ptr<TopKOperator>(std::move(op).value());
+}
+}  // namespace
+
 Result<std::unique_ptr<TopKOperator>> MakeTopKOperator(
     TopKAlgorithm algorithm, const TopKOptions& options) {
   switch (algorithm) {
-    case TopKAlgorithm::kHeap: {
-      std::unique_ptr<HeapTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, HeapTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kTraditionalExternal: {
-      std::unique_ptr<TraditionalExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, TraditionalExternalTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kOptimizedExternal: {
-      std::unique_ptr<OptimizedExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, OptimizedExternalTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kHistogram: {
-      std::unique_ptr<HistogramTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op, HistogramTopK::Make(options));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
+    case TopKAlgorithm::kHeap:
+      return AsOperator(HeapTopK::Make(options));
+    case TopKAlgorithm::kTraditionalExternal:
+      return AsOperator(TraditionalExternalTopK::Make(options));
+    case TopKAlgorithm::kOptimizedExternal:
+      return AsOperator(OptimizedExternalTopK::Make(options));
+    case TopKAlgorithm::kHistogram:
+      return AsOperator(HistogramTopK::Make(options));
   }
   return Status::InvalidArgument("unknown top-k algorithm");
 }
@@ -67,24 +65,14 @@ Result<std::unique_ptr<TopKOperator>> ResumeTopKOperator(
     TopKAlgorithm algorithm, const TopKOptions& options,
     RestoreReport* report) {
   switch (algorithm) {
-    case TopKAlgorithm::kHistogram: {
-      std::unique_ptr<HistogramTopK> op;
-      TOPK_ASSIGN_OR_RETURN(op,
-                            HistogramTopK::ResumeFromManifest(options, report));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kTraditionalExternal: {
-      std::unique_ptr<TraditionalExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(
-          op, TraditionalExternalTopK::ResumeFromManifest(options, report));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
-    case TopKAlgorithm::kOptimizedExternal: {
-      std::unique_ptr<OptimizedExternalTopK> op;
-      TOPK_ASSIGN_OR_RETURN(
-          op, OptimizedExternalTopK::ResumeFromManifest(options, report));
-      return std::unique_ptr<TopKOperator>(std::move(op));
-    }
+    case TopKAlgorithm::kHistogram:
+      return AsOperator(HistogramTopK::ResumeFromManifest(options, report));
+    case TopKAlgorithm::kTraditionalExternal:
+      return AsOperator(
+          TraditionalExternalTopK::ResumeFromManifest(options, report));
+    case TopKAlgorithm::kOptimizedExternal:
+      return AsOperator(
+          OptimizedExternalTopK::ResumeFromManifest(options, report));
     case TopKAlgorithm::kHeap:
       break;
   }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "row/serialization.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -210,6 +211,18 @@ TEST_P(EdgeCasesTest, AlreadySortedInput) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSameRows(ReferenceTopK(rows, 500, 0, SortDirection::kAscending),
                  *result);
+}
+
+TEST_P(EdgeCasesTest, OversizedPayloadIsRejectedAtConsume) {
+  // A payload the run format cannot hold must fail the Consume that
+  // delivers it — even while the query still fits in memory — instead of
+  // slipping through, or failing later inside the external switch and
+  // being blamed on an unrelated row.
+  auto op = MakeTopKOperator(GetParam(), Options(1, size_t{256} << 20));
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  Status status =
+      (*op)->Consume(Row(1.0, 0, std::string(kMaxRowPayloadBytes + 1, 'x')));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(

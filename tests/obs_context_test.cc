@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "tests/test_util.h"
 #include "topk/histogram_topk.h"
+#include "topk/operator_factory.h"
 
 namespace topk {
 namespace {
@@ -235,6 +236,34 @@ TEST(ObsContextTest, DeltaSinceSubtractsAccumulationsKeepsLevels) {
   EXPECT_EQ(quiet.histograms.at("h").count, 0u);
   EXPECT_EQ(quiet.histograms.at("h").min_nanos, 0);
   EXPECT_EQ(quiet.histograms.at("h").max_nanos, 0);
+}
+
+TEST(ObsContextTest, InMemoryFinishReportsPeakMemoryForEveryOperator) {
+  // A query that never spills still reports its memory high-water mark to
+  // its ObsContext, whichever operator ran it.
+  DatasetSpec spec;
+  spec.WithRows(100).WithSeed(9);
+  const auto rows = MaterializeDataset(spec);
+  for (const TopKAlgorithm algorithm :
+       {TopKAlgorithm::kHeap, TopKAlgorithm::kTraditionalExternal,
+        TopKAlgorithm::kOptimizedExternal, TopKAlgorithm::kHistogram}) {
+    SCOPED_TRACE(TopKAlgorithmName(algorithm));
+    ScratchDir scratch;
+    StorageEnv env;
+    TopKOptions options;
+    options.k = 10;
+    options.memory_limit_bytes = 1 << 20;
+    options.env = &env;
+    options.spill_dir = scratch.str();
+    options.obs = ObsContext::Create("in-memory");
+    auto op = MakeTopKOperator(algorithm, options);
+    ASSERT_TRUE(op.ok()) << op.status().ToString();
+    auto result = RunOperator(op->get(), rows);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT((*op)->stats().peak_memory_bytes, 0u);
+    EXPECT_EQ(options.obs->peak_memory_bytes(),
+              (*op)->stats().peak_memory_bytes);
+  }
 }
 
 }  // namespace
