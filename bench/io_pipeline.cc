@@ -279,7 +279,6 @@ int main() {
         options.env = &async_env;
         options.spill_dir = dir.Sub("async" + std::to_string(run_id));
         options.io_background_threads = 2;
-        options.enable_io_prefetch = true;
         RunResult a = MeasureTopK(algorithm, options, spec);
         if (rep == 0 || a.seconds < async.seconds) async = a;
         ++run_id;

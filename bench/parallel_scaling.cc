@@ -70,8 +70,9 @@ int main() {
   std::printf(
       "\nExpected: with the shared filter, spilled rows stay near the "
       "1-worker level as workers increase; with independent filters they "
-      "grow with the worker count. (This box has one core, so wall-clock "
-      "parallel speedup is not expected — the retained-row counts are the "
-      "reproduced claim.)\n");
+      "grow with the worker count. (Wall-clock speedup is not expected even "
+      "on a multi-core host: ParallelTopK hands rows to its workers one at "
+      "a time under a mutex — the retained-row counts are the reproduced "
+      "claim.)\n");
   return 0;
 }

@@ -4,12 +4,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/random.h"
 #include "common/result.h"
@@ -155,16 +153,9 @@ class MemoryArbiter {
   void SetFaultProfile(const MemFaultProfile& profile);
   MemFaultProfile fault_profile() const;
 
-  /// Registers a callback invoked (outside the arbiter lock, on the thread
-  /// whose grant/release moved the level) on every pressure-level
-  /// transition. Responders must be thread-safe and cheap; they form the
-  /// push half of the degradation ladder (the poll half is pressure()).
-  using ResponderId = uint64_t;
-  ResponderId AddPressureResponder(std::function<void(MemoryPressure)> fn);
-  void RemovePressureResponder(ResponderId id);
-
   /// Lock-free pressure poll (one relaxed atomic load) — cheap enough for
-  /// per-row checks in run-generation loops.
+  /// per-row checks in run-generation loops and per-block checks in
+  /// prefetch readers. Every rung of the degradation ladder polls this.
   MemoryPressure pressure() const {
     return static_cast<MemoryPressure>(
         pressure_level_.load(std::memory_order_relaxed));
@@ -187,15 +178,12 @@ class MemoryArbiter {
   Status Grant(const std::string& tag, size_t bytes, bool initial);
   void ReleaseBytes(size_t bytes);
 
-  /// Recomputes the pressure level; sets *changed when the level moved and
-  /// returns the responder snapshot to notify. Caller holds mu_.
-  std::vector<std::function<void(MemoryPressure)>> UpdatePressureLocked(
-      MemoryPressure* level, bool* changed);
-  /// Records the transition (gauge, counter, trace instant) and invokes
-  /// the responder snapshot. Called without mu_ held.
-  void NotifyPressureChange(
-      MemoryPressure level,
-      const std::vector<std::function<void(MemoryPressure)>>& responders);
+  /// Recomputes the pressure level into *level; true when it moved.
+  /// Caller holds mu_.
+  bool UpdatePressureLocked(MemoryPressure* level);
+  /// Records a transition (gauge, counter, trace instant). Called without
+  /// mu_ held.
+  void NotifyPressureChange(MemoryPressure level);
 
   mutable std::mutex mu_;
   Options options_;
@@ -206,13 +194,6 @@ class MemoryArbiter {
   uint64_t faults_injected_ = 0;
   MemFaultProfile fault_profile_;
   Random fault_rng_;
-
-  struct Responder {
-    ResponderId id;
-    std::function<void(MemoryPressure)> fn;
-  };
-  std::vector<Responder> responders_;
-  ResponderId next_responder_id_ = 1;
 
   std::atomic<int> pressure_level_{0};
 };

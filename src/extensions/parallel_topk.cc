@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "obs/trace.h"
+#include "row/serialization.h"
 #include "sort/merge_planner.h"
 #include "sort/merger.h"
 #include "sort/replacement_selection.h"
@@ -225,6 +226,10 @@ Status ParallelTopK::Consume(Row row) {
   if (finished_) {
     return Status::FailedPrecondition("Consume after Finish");
   }
+  // Reject what the run format cannot hold here, on the caller's row, like
+  // every other operator entry point — not later on a worker thread, where
+  // the error would be latched and blamed on an unrelated Consume.
+  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
   ++stats_.rows_consumed;
   Worker* worker = workers_[next_worker_].get();
   next_worker_ = (next_worker_ + 1) % workers_.size();

@@ -92,12 +92,6 @@ ObsCounter& WriterSyncFallbackCounter() {
 
 }  // namespace
 
-void PrefetchBudget::AttachArbiter(MemoryArbiter* arbiter) {
-  std::lock_guard<std::mutex> lock(mu_);
-  arbiter_ = arbiter;
-  lease_.Release();
-}
-
 bool PrefetchBudget::TryAcquire(size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (acquired_ + bytes > total_) return false;
@@ -129,21 +123,6 @@ void PrefetchBudget::Release(size_t bytes) {
 size_t PrefetchBudget::acquired() const {
   std::lock_guard<std::mutex> lock(mu_);
   return acquired_;
-}
-
-void PrefetchBudget::AddReader() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++live_readers_;
-}
-
-void PrefetchBudget::RemoveReader() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_readers_ > 0) --live_readers_;
-}
-
-size_t PrefetchBudget::live_readers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return live_readers_;
 }
 
 size_t PrefetchBudget::available() const {
@@ -271,13 +250,13 @@ Status DoubleBufferedWriter::Close() {
 PrefetchingBlockReader::PrefetchingBlockReader(
     std::unique_ptr<SequentialFile> base, ThreadPool* pool, size_t block_bytes,
     size_t depth_cap, PrefetchBudget* budget, SequentialFileFactory reopen,
-    const PrefetchTuning& tuning)
+    const IoPipelineOptions& io)
     : pool_(pool),
       block_bytes_(block_bytes),
       depth_cap_(std::clamp<size_t>(depth_cap, 1, kMaxPrefetchDepth)),
       budget_(budget),
       reopen_(std::move(reopen)),
-      tuning_(tuning) {
+      io_(io) {
   TOPK_CHECK(pool_ != nullptr) << "PrefetchingBlockReader needs a thread pool";
   TOPK_CHECK(block_bytes_ > 0) << "block size must be positive";
   auto handle = std::make_shared<Handle>();
@@ -286,10 +265,6 @@ PrefetchingBlockReader::PrefetchingBlockReader(
   // first blocks ride the storage round trip concurrently instead of one
   // after another.
   std::lock_guard<std::mutex> lock(mu_);
-  if (budget_ != nullptr) {
-    budget_->AddReader();
-    budget_registered_ = true;
-  }
   idle_handles_.push_back(std::move(handle));
   handles_total_ = 1;
   IssueOneLocked();
@@ -313,7 +288,6 @@ PrefetchingBlockReader::~PrefetchingBlockReader() {
     budget_->Release(reserved_slots_ * block_bytes_);
     reserved_slots_ = 0;
   }
-  DeregisterLocked();
 }
 
 void PrefetchingBlockReader::CancelPrefetch() {
@@ -321,40 +295,21 @@ void PrefetchingBlockReader::CancelPrefetch() {
   cancelled_ = true;
   stopping_ = true;  // in-flight fetches finish, but no new readahead
   // An abandoned run will never grow its window again: hand the budget
-  // share back right now so surviving readers can re-apportion mid-step
-  // instead of waiting for this reader's destruction.
+  // share back right now so surviving readers can reserve it instead of
+  // waiting for this reader's destruction.
   target_depth_ = 1;
   ReleaseExcessLocked();
-  DeregisterLocked();
-}
-
-void PrefetchingBlockReader::DeregisterLocked() {
-  if (budget_registered_) {
-    budget_->RemoveReader();
-    budget_registered_ = false;
-  }
 }
 
 size_t PrefetchingBlockReader::DynamicDepthCapLocked() const {
-  size_t cap = depth_cap_;
-  if (budget_ != nullptr && tuning_.reapportion_depth) {
-    // The cap was apportioned over the merge step's live runs at open time;
-    // re-apportion over whoever is still alive so freed budget is inherited
-    // immediately. Never below the opening cap — shrinking mid-run would
-    // strand already-reserved slots.
-    const size_t apportioned = ApportionPrefetchDepth(
-        budget_->total(), budget_->live_readers(), block_bytes_);
-    cap = std::clamp<size_t>(std::max(depth_cap_, apportioned), 1,
-                             kMaxPrefetchDepth);
+  if (budget_ == nullptr || depth_cap_ <= 1 || !budget_->under_pressure()) {
+    return depth_cap_;
   }
-  if (budget_ != nullptr && budget_->pressure_shrink() && cap > 1) {
-    // Memory-arbiter soft pressure: halve the lookahead this reader may
-    // target, reusing the same re-apportioning machinery. Excess slots
-    // drain back to the budget (and its lease) via ReleaseExcessLocked.
-    cap = std::max<size_t>(1, cap / 2);
-    PrefetchShrunkCounter().Add(1);
-  }
-  return cap;
+  // Memory-arbiter soft pressure: halve the lookahead this reader may
+  // target. Excess slots drain back to the budget (and its lease) via
+  // ReleaseExcessLocked.
+  PrefetchShrunkCounter().Add(1);
+  return depth_cap_ / 2;
 }
 
 size_t PrefetchingBlockReader::target_depth() const {
@@ -540,7 +495,6 @@ void PrefetchingBlockReader::FetchStep(std::shared_ptr<Handle> handle,
       // do not need so sibling runs can deepen.
       target_depth_ = 1;
       ReleaseExcessLocked();
-      DeregisterLocked();
     }
   } else if (!stopping_) {
     TopUpLocked();
@@ -629,7 +583,6 @@ Status PrefetchingBlockReader::Read(size_t n, char* scratch,
       if (consume_offset_ >= eof_offset_) {
         ready_size_ = 0;
         ready_pos_ = 0;
-        DeregisterLocked();  // fully drained: never grows again
         ObsRecordIoWait(wait_watch.ElapsedNanos());
         return Status::OK();  // clean EOF
       }
@@ -648,13 +601,13 @@ Status PrefetchingBlockReader::Read(size_t n, char* scratch,
           return Status::IoError("prefetch pipeline has no readable handle");
         }
       }
-      if (tuning_.cancel != nullptr && tuning_.cancel->ShouldStop()) {
+      if (io_.retry.cancel != nullptr && io_.retry.cancel->ShouldStop()) {
         // Caller-initiated: surface promptly without waiting for the
         // in-flight fetch, and do NOT latch it as a stream error — the
         // pool-thread completion still lands in the ring and is released
         // (blocks_cancelled) at teardown.
         ObsRecordIoWait(wait_watch.ElapsedNanos());
-        return tuning_.cancel->status();
+        return io_.retry.cancel->status();
       }
       const auto pred = [this] {
         return (!ring_.empty() && ring_.begin()->first == consume_offset_) ||
@@ -665,20 +618,20 @@ Status PrefetchingBlockReader::Read(size_t n, char* scratch,
       // deadline (a hung storage call must surface as Unavailable, not
       // park the merge forever).
       const bool hedge_eligible =
-          tuning_.hedge_reads && reopen_ != nullptr &&
+          io_.hedge_reads && reopen_ != nullptr &&
           hedged_.count(consume_offset_) == 0 &&
           inflight_by_offset_.count(consume_offset_) > 0;
       int64_t hedge_wait_nanos = -1;
       if (hedge_eligible) {
         hedge_wait_nanos = std::max<int64_t>(
-            tuning_.hedge_min_nanos,
-            static_cast<int64_t>(tuning_.hedge_latency_multiplier *
+            io_.hedge_min_nanos,
+            static_cast<int64_t>(io_.hedge_latency_multiplier *
                                  rtt_ewma_nanos_));
       }
       int64_t wait_nanos = hedge_wait_nanos;
-      if (tuning_.read_deadline_nanos > 0) {
+      if (io_.retry.deadline_nanos > 0) {
         const int64_t remaining =
-            tuning_.read_deadline_nanos - wait_watch.ElapsedNanos();
+            io_.retry.deadline_nanos - wait_watch.ElapsedNanos();
         if (remaining <= 0) {
           ReadDeadlineCounter().Add(1);
           Status deadline = Status::Unavailable(
@@ -691,7 +644,7 @@ Status PrefetchingBlockReader::Read(size_t n, char* scratch,
         wait_nanos =
             wait_nanos < 0 ? remaining : std::min(wait_nanos, remaining);
       }
-      if (tuning_.cancel != nullptr) {
+      if (io_.retry.cancel != nullptr) {
         // With a cancellation token armed, never park indefinitely: wait
         // in bounded slices so the top-of-loop poll observes a cancel
         // within one slice even when storage has hung.

@@ -1,7 +1,6 @@
 #ifndef TOPK_IO_ASYNC_IO_H_
 #define TOPK_IO_ASYNC_IO_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -28,35 +27,6 @@ namespace topk {
 /// bound by pool parallelism, not by queued lookahead.
 inline constexpr size_t kMaxPrefetchDepth = 32;
 
-/// Degraded-storage knobs for one PrefetchingBlockReader. Hedged reads
-/// follow Dean & Barroso's "Tail at Scale" recipe: when the consumer has
-/// waited `hedge_latency_multiplier` x the observed round-trip EWMA for
-/// the block it needs (but at least `hedge_min_nanos`), a duplicate read
-/// of the same block is issued on a second handle; the first completion
-/// wins and the loser is discarded. Run files are immutable, so the
-/// duplicate is always safe. `read_deadline_nanos` bounds how long one
-/// consumer Read may wait for its block before surfacing Unavailable
-/// ("deadline exceeded") instead of parking the merge behind a hung call.
-struct PrefetchTuning {
-  bool hedge_reads = false;
-  double hedge_latency_multiplier = 3.0;
-  int64_t hedge_min_nanos = 1'000'000;  // never hedge before 1 ms
-  /// 0 = wait forever (legacy behaviour).
-  int64_t read_deadline_nanos = 0;
-  /// True when the depth cap was apportioned from the shared budget (not
-  /// pinned by the caller): the reader may then re-apportion mid-step as
-  /// sibling readers finish and live_readers() shrinks, inheriting freed
-  /// budget without waiting for the next merge step.
-  bool reapportion_depth = false;
-  /// Optional query cancellation token (query_control.h). When set, the
-  /// consumer wait in Read() polls it (bounded wait slices instead of an
-  /// indefinite block) and returns the token's status promptly even with
-  /// the fetch still in flight on a pool thread — the reader stays valid
-  /// and the in-flight block is accounted via io.prefetch.blocks_cancelled
-  /// when the stream is torn down. Not owned.
-  const CancellationToken* cancel = nullptr;
-};
-
 /// Background I/O pipeline configuration. On disaggregated storage every
 /// block write/read pays a full round trip (StorageEnv latency injection
 /// emulates it); overlapping those round trips with replacement selection
@@ -68,16 +38,19 @@ struct PrefetchTuning {
 /// stream of one SpillManager: the retry policy for transient failures and
 /// the inline read-side checksum verification switch.
 struct IoPipelineOptions {
-  /// Workers shared by all streams of one SpillManager. 0 disables the
-  /// pipeline entirely.
+  /// Workers shared by all streams of one SpillManager: they flush spill
+  /// blocks and prefetch merge blocks. 0 disables the pipeline entirely.
   size_t background_threads = 0;
-  /// Read one block ahead of the merge cursor (only meaningful when
-  /// background_threads > 0).
-  bool enable_prefetch = true;
   /// Retry policy applied to every block read/write/flush/close and to
   /// manifest I/O. Retries run on the background pool threads when the
   /// pipeline is active, so backoff never stalls the producer. Default:
-  /// up to 4 attempts with 1 ms initial backoff.
+  /// up to 4 attempts with 1 ms initial backoff. Prefetch readers also
+  /// take two of its fields: `deadline_nanos` bounds how long one
+  /// consumer Read waits for its block before surfacing Unavailable
+  /// ("deadline exceeded") instead of parking the merge behind a hung
+  /// call (0 = wait forever), and a set `cancel` token makes that wait
+  /// poll the token in bounded slices, returning its status promptly
+  /// with the fetch still in flight.
   RetryPolicy retry;
   /// Total bytes of prefetched-but-unconsumed block memory all readers of
   /// one SpillManager may hold *beyond* their first lookahead block. The
@@ -87,10 +60,16 @@ struct IoPipelineOptions {
   /// abandoned by the cutoff hand their slots back. 0 = fixed one-block
   /// lookahead (the pre-adaptive behaviour).
   size_t prefetch_memory_budget = 8 << 20;
-  /// Hedge straggling block reads on the merge path (see PrefetchTuning).
+  /// Hedged reads on the merge path, following Dean & Barroso's "Tail at
+  /// Scale" recipe: when the consumer has waited
+  /// `hedge_latency_multiplier` x the observed round-trip EWMA for the
+  /// block it needs (but at least `hedge_min_nanos`), a duplicate read of
+  /// the same block is issued on a second handle; the first completion
+  /// wins and the loser is discarded. Run files are immutable, so the
+  /// duplicate is always safe.
   bool hedge_reads = false;
   double hedge_latency_multiplier = 3.0;
-  int64_t hedge_min_nanos = 1'000'000;
+  int64_t hedge_min_nanos = 1'000'000;  // never hedge before 1 ms
   /// Disk-space quota for one SpillManager's directory: total bytes its
   /// run files may occupy (0 = unlimited). Breaches surface as
   /// ResourceExhausted naming spill_quota_bytes.
@@ -108,26 +87,16 @@ struct IoPipelineOptions {
 /// `total` bytes of speculative reads no matter how many runs it opens.
 class PrefetchBudget {
  public:
-  explicit PrefetchBudget(size_t total_bytes) : total_(total_bytes) {}
+  /// A non-null `arbiter` backs every reservation with a lease from it (a
+  /// refused grant just stops window growth — graceful), and its soft
+  /// pressure halves the depth caps of the readers sharing this budget
+  /// (see under_pressure).
+  explicit PrefetchBudget(size_t total_bytes,
+                          MemoryArbiter* arbiter = nullptr)
+      : total_(total_bytes), arbiter_(arbiter) {}
 
   PrefetchBudget(const PrefetchBudget&) = delete;
   PrefetchBudget& operator=(const PrefetchBudget&) = delete;
-
-  /// Attaches a memory arbiter: every reservation is additionally leased
-  /// from it (a refused grant just stops window growth — graceful), and
-  /// arbiter soft pressure halves the depth caps readers derive from this
-  /// budget (SetPressureShrink, flipped by the owning SpillManager's
-  /// pressure responder). Call before readers share the budget.
-  void AttachArbiter(MemoryArbiter* arbiter);
-
-  /// Degradation-ladder flag: while set, DynamicDepthCapLocked-style
-  /// apportionments over this budget are halved. Lock-free.
-  void SetPressureShrink(bool shrink) {
-    pressure_shrink_.store(shrink, std::memory_order_relaxed);
-  }
-  bool pressure_shrink() const {
-    return pressure_shrink_.load(std::memory_order_relaxed);
-  }
 
   /// Reserves `bytes`; false when the pool is exhausted (the caller keeps
   /// its current window instead of growing).
@@ -135,14 +104,13 @@ class PrefetchBudget {
   /// Returns a previous reservation to the pool.
   void Release(size_t bytes);
 
-  /// Live-reader registry: every PrefetchingBlockReader sharing this
-  /// budget registers at construction and deregisters when it can no
-  /// longer grow (cancelled, clean EOF, or destroyed). Survivors use the
-  /// count to re-apportion the budget mid-merge-step, inheriting the
-  /// slots a finished sibling freed.
-  void AddReader();
-  void RemoveReader();
-  size_t live_readers() const;
+  /// True while the backing arbiter reports at least soft pressure: the
+  /// prefetch rung of the degradation ladder. Lock-free (one relaxed
+  /// load), polled by readers whenever they derive their depth cap.
+  bool under_pressure() const {
+    return arbiter_ != nullptr &&
+           arbiter_->pressure() >= MemoryPressure::kSoft;
+  }
 
   size_t total() const { return total_; }
   size_t acquired() const;
@@ -150,13 +118,11 @@ class PrefetchBudget {
 
  private:
   const size_t total_;
-  std::atomic<bool> pressure_shrink_{false};
+  MemoryArbiter* const arbiter_;
   mutable std::mutex mu_;
   size_t acquired_ = 0;
-  size_t live_readers_ = 0;
-  /// Optional arbiter backing: reservations grow lease_ and a refused
-  /// grant fails the TryAcquire (the window simply stops growing).
-  MemoryArbiter* arbiter_ = nullptr;
+  /// Arbiter backing: reservations grow lease_ and a refused grant fails
+  /// the TryAcquire (the window simply stops growing).
   MemoryLease lease_;
 };
 
@@ -276,15 +242,15 @@ class PrefetchingBlockReader : public SequentialFile {
   /// slot beyond the first; without one the cap alone bounds the window.
   /// A non-null `reopen` lets slots open extra handles for genuinely
   /// concurrent reads (see the class comment); it is also what hedged
-  /// reads duplicate straggling fetches onto. `tuning` carries the
-  /// degraded-storage knobs (hedging, consumer deadline, mid-step
-  /// re-apportioning).
+  /// reads duplicate straggling fetches onto. From `io` the reader takes
+  /// the hedging knobs and the consumer deadline and cancel token carried
+  /// by `io.retry` (see IoPipelineOptions).
   PrefetchingBlockReader(std::unique_ptr<SequentialFile> base,
                          ThreadPool* pool, size_t block_bytes,
                          size_t depth_cap = 1,
                          PrefetchBudget* budget = nullptr,
                          SequentialFileFactory reopen = nullptr,
-                         const PrefetchTuning& tuning = PrefetchTuning());
+                         const IoPipelineOptions& io = IoPipelineOptions());
 
   ~PrefetchingBlockReader() override;
 
@@ -341,14 +307,9 @@ class PrefetchingBlockReader : public SequentialFile {
   /// opened handle (one handle beyond the depth cap is allowed for the
   /// hedge). Caller holds mu_.
   bool IssueHedgeLocked();
-  /// The effective depth cap right now: the construction-time cap, or —
-  /// when the cap was apportioned (tuning.reapportion_depth) — the
-  /// apportionment over the budget's *current* live readers, so survivors
-  /// inherit freed budget mid-step. Caller holds mu_.
+  /// The effective depth cap right now: the construction-time cap, halved
+  /// while the budget reports memory pressure. Caller holds mu_.
   size_t DynamicDepthCapLocked() const;
-  /// Removes this reader from the budget's live-reader registry exactly
-  /// once. Caller holds mu_.
-  void DeregisterLocked();
   /// Reserves budget slots up to target_depth_ - 1. Caller holds mu_.
   void AcquireForTargetLocked();
   /// Returns slots not needed by the current target or the blocks still
@@ -366,7 +327,7 @@ class PrefetchingBlockReader : public SequentialFile {
   size_t depth_cap_;
   PrefetchBudget* budget_;
   SequentialFileFactory reopen_;
-  PrefetchTuning tuning_;
+  IoPipelineOptions io_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
@@ -392,8 +353,6 @@ class PrefetchingBlockReader : public SequentialFile {
   /// Offsets a hedge was issued for (never hedge the same block twice);
   /// pruned as the consumer moves past them.
   std::set<uint64_t> hedged_;
-  /// This reader is counted in budget_->live_readers().
-  bool budget_registered_ = false;
   /// Handles not checked out by a fetch task, each tagged with its file
   /// position. handles_total_ counts idle + checked-out, capped at
   /// depth_cap_.

@@ -97,9 +97,10 @@ RunReader::RunReader(std::unique_ptr<BlockReader> reader,
 
 Result<std::unique_ptr<RunReader>> RunReader::Open(
     StorageEnv* env, const std::string& path, size_t block_bytes,
-    ThreadPool* prefetch_pool, const RetryPolicy& retry,
+    ThreadPool* prefetch_pool, const IoPipelineOptions& io,
     const RunReadVerification& verify, size_t prefetch_depth_cap,
-    PrefetchBudget* prefetch_budget, const PrefetchTuning& tuning) {
+    PrefetchBudget* prefetch_budget) {
+  const RetryPolicy& retry = io.retry;
   std::unique_ptr<SequentialFile> file;
   TOPK_ASSIGN_OR_RETURN(file, env->NewSequentialFile(path));
   // Stack: base -> retry -> prefetcher. Background prefetches retry their
@@ -114,7 +115,7 @@ Result<std::unique_ptr<RunReader>> RunReader::Open(
     // first.
     SequentialFileFactory reopen;
     if (prefetch_depth_cap > 1 || prefetch_budget != nullptr ||
-        tuning.hedge_reads) {
+        io.hedge_reads) {
       reopen = [env, path, retry]() -> Result<std::unique_ptr<SequentialFile>> {
         std::unique_ptr<SequentialFile> extra;
         TOPK_ASSIGN_OR_RETURN(extra, env->NewSequentialFile(path));
@@ -123,7 +124,7 @@ Result<std::unique_ptr<RunReader>> RunReader::Open(
     }
     auto prefetching = std::make_unique<PrefetchingBlockReader>(
         std::move(file), prefetch_pool, block_bytes, prefetch_depth_cap,
-        prefetch_budget, std::move(reopen), tuning);
+        prefetch_budget, std::move(reopen), io);
     prefetcher = prefetching.get();
     file = std::move(prefetching);
   }

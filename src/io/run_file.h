@@ -128,22 +128,21 @@ class RunReader {
  public:
   /// A non-null `prefetch_pool` inserts a PrefetchingBlockReader under the
   /// block reader so the next block is fetched while the current one is
-  /// merged; the reader must not outlive the pool. `retry` governs
+  /// merged; the reader must not outlive the pool. `io.retry` governs
   /// transient-failure retries of every block read (under the prefetcher,
-  /// so backoff rides the pool thread); `verify` enables inline CRC/row
-  /// count verification at EOF. `prefetch_depth_cap` bounds the adaptive
-  /// lookahead window (1 = fixed single-block lookahead) and
-  /// `prefetch_budget` gates every window slot beyond the first. `tuning`
-  /// carries the degraded-storage knobs (hedged reads, consumer deadline).
+  /// so backoff rides the pool thread); the prefetcher also takes its
+  /// hedging knobs and consumer deadline from `io`. `verify` enables
+  /// inline CRC/row count verification at EOF. `prefetch_depth_cap` bounds
+  /// the adaptive lookahead window (1 = fixed single-block lookahead) and
+  /// `prefetch_budget` gates every window slot beyond the first.
   static Result<std::unique_ptr<RunReader>> Open(
       StorageEnv* env, const std::string& path,
       size_t block_bytes = kDefaultBlockBytes,
       ThreadPool* prefetch_pool = nullptr,
-      const RetryPolicy& retry = RetryPolicy(),
+      const IoPipelineOptions& io = IoPipelineOptions(),
       const RunReadVerification& verify = RunReadVerification(),
       size_t prefetch_depth_cap = 1,
-      PrefetchBudget* prefetch_budget = nullptr,
-      const PrefetchTuning& tuning = PrefetchTuning());
+      PrefetchBudget* prefetch_budget = nullptr);
 
   /// Reads the next row. Sets `*eof` at end of run; with verification
   /// enabled a clean EOF that fails the CRC / row-count check returns

@@ -32,31 +32,14 @@ SpillManager::SpillManager(StorageEnv* env, std::string dir,
     : env_(env),
       dir_(std::move(dir)),
       io_options_(io),
-      prefetch_budget_(io.prefetch_memory_budget),
+      prefetch_budget_(io.prefetch_memory_budget, io.arbiter),
       spill_quota_(io.spill_quota_bytes) {
   if (io_options_.background_threads > 0) {
     io_pool_ = std::make_unique<ThreadPool>(io_options_.background_threads);
   }
-  if (io_options_.arbiter != nullptr) {
-    prefetch_budget_.AttachArbiter(io_options_.arbiter);
-    // The push half of the degradation ladder: on a soft-pressure
-    // transition, tell every reader sharing this manager's prefetch budget
-    // to halve its lookahead. The responder only flips an atomic flag —
-    // no locks, safe from any grant/release thread.
-    pressure_responder_ = io_options_.arbiter->AddPressureResponder(
-        [this](MemoryPressure level) {
-          prefetch_budget_.SetPressureShrink(level >= MemoryPressure::kSoft);
-        });
-    // Transitions before this manager existed still apply.
-    prefetch_budget_.SetPressureShrink(io_options_.arbiter->pressure() >=
-                                       MemoryPressure::kSoft);
-  }
 }
 
 SpillManager::~SpillManager() {
-  if (io_options_.arbiter != nullptr && pressure_responder_ != 0) {
-    io_options_.arbiter->RemovePressureResponder(pressure_responder_);
-  }
   // An async manifest write may still reference env_ and the directory;
   // let it land (or fail) before tearing anything down.
   {
@@ -82,42 +65,6 @@ Result<std::unique_ptr<SpillManager>> SpillManager::Create(
   TOPK_RETURN_NOT_OK(env->CreateDirs(dir));
   return std::unique_ptr<SpillManager>(
       new SpillManager(env, std::move(dir), io));
-}
-
-Result<std::unique_ptr<SpillManager>> SpillManager::Restore(
-    StorageEnv* env, std::string dir, const std::string& manifest_filename,
-    bool verify_runs, const RowComparator& comparator,
-    const IoPipelineOptions& io) {
-  auto manager = std::unique_ptr<SpillManager>(
-      new SpillManager(env, std::move(dir), io));
-  // A failed restore must leave the directory intact for another attempt.
-  manager->owns_dir_ = false;
-  std::vector<RunMeta> runs;
-  ManifestCheckpoint ckpt;
-  bool has_ckpt = false;
-  TOPK_ASSIGN_OR_RETURN(
-      runs, ReadManifest(env, manager->dir_ + "/" + manifest_filename,
-                         io.retry, &ckpt, &has_ckpt));
-  if (has_ckpt) manager->SetManifestCheckpoint(ckpt);
-  uint64_t max_id = 0;
-  for (RunMeta& run : runs) {
-    if (verify_runs) {
-      TOPK_RETURN_NOT_OK(manager->VerifyRun(run, comparator));
-    }
-    max_id = std::max(max_id, run.id);
-    manager->AddRun(std::move(run));
-  }
-  {
-    std::lock_guard<std::mutex> lock(manager->mu_);
-    // Also advance past the checkpoint's run-id frontier: runs above it
-    // may have been deleted by a resume, and replay output must not reuse
-    // their ids (a second crash would mistake it for covered state).
-    manager->next_run_id_ =
-        std::max(runs.empty() ? 0 : max_id + 1,
-                 has_ckpt ? ckpt.run_id_bound : 0);
-  }
-  manager->owns_dir_ = true;  // restored successfully: normal lifecycle
-  return manager;
 }
 
 Result<std::unique_ptr<SpillManager>> SpillManager::OpenExisting(
@@ -359,8 +306,6 @@ void SpillManager::DisownDir() {
 
 Result<std::unique_ptr<RunReader>> SpillManager::OpenRun(
     const RunMeta& meta, size_t prefetch_depth_cap) const {
-  ThreadPool* prefetch_pool =
-      io_options_.enable_prefetch ? io_pool_.get() : nullptr;
   // Every fully-drained run is checked against its recorded CRC-32C and
   // row count inline (a mismatch is permanent Corruption, never retried).
   RunReadVerification verify;
@@ -368,25 +313,16 @@ Result<std::unique_ptr<RunReader>> SpillManager::OpenRun(
   verify.expected_crc32c = meta.crc32c;
   verify.expected_rows = meta.rows;
   verify.run_id = meta.id;
-  PrefetchTuning tuning;
-  tuning.hedge_reads = io_options_.hedge_reads;
-  tuning.hedge_latency_multiplier = io_options_.hedge_latency_multiplier;
-  tuning.hedge_min_nanos = io_options_.hedge_min_nanos;
-  tuning.read_deadline_nanos = io_options_.retry.deadline_nanos;
-  tuning.cancel = io_options_.retry.cancel;
   if (prefetch_depth_cap == 0) {
     // No plan-time cap from the caller: assume every registered run may be
-    // read concurrently and split the budget evenly. Such apportioned caps
-    // may be re-derived mid-merge as sibling readers finish and leave the
-    // shared budget (explicit caps from the planner stay pinned).
-    tuning.reapportion_depth = true;
+    // read concurrently and split the budget evenly.
     prefetch_depth_cap =
         ApportionPrefetchDepth(io_options_.prefetch_memory_budget, run_count(),
                                kDefaultBlockBytes);
   }
-  return RunReader::Open(env_, meta.path, kDefaultBlockBytes, prefetch_pool,
-                         io_options_.retry, verify, prefetch_depth_cap,
-                         &prefetch_budget_, tuning);
+  return RunReader::Open(env_, meta.path, kDefaultBlockBytes, io_pool_.get(),
+                         io_options_, verify, prefetch_depth_cap,
+                         &prefetch_budget_);
 }
 
 Status SpillManager::VerifyRun(const RunMeta& meta,
@@ -396,7 +332,7 @@ Status SpillManager::VerifyRun(const RunMeta& meta,
   // itself and reports richer mismatch messages.
   TOPK_ASSIGN_OR_RETURN(
       reader, RunReader::Open(env_, meta.path, kDefaultBlockBytes,
-                              /*prefetch_pool=*/nullptr, io_options_.retry));
+                              /*prefetch_pool=*/nullptr, io_options_));
   Row row, previous;
   uint64_t rows = 0;
   uint32_t crc = 0;

@@ -51,19 +51,11 @@ class SpillManager {
       StorageEnv* env, std::string dir, const IoPipelineOptions& io = {});
 
   /// Re-opens an existing spill directory from a manifest previously
-  /// written by SaveManifest: the listed runs are registered (optionally
-  /// re-verified against their checksums) and run-id allocation continues
-  /// past them. Enables resuming the merge phase of a crashed or paused
-  /// operator without regenerating runs.
-  static Result<std::unique_ptr<SpillManager>> Restore(
-      StorageEnv* env, std::string dir, const std::string& manifest_filename,
-      bool verify_runs, const RowComparator& comparator = RowComparator(),
-      const IoPipelineOptions& io = {});
-
-  /// The crash-recovery variant of Restore: every manifest run is verified
-  /// end-to-end, and a run that fails verification (missing file, torn
-  /// tail, checksum mismatch) is *quarantined* — recorded in `report` and
-  /// left on disk, but not registered — instead of failing the whole
+  /// written by SaveManifest, so a crashed or paused operator can resume
+  /// its merge phase without regenerating runs. Every manifest run is
+  /// verified end-to-end, and a run that fails verification (missing file,
+  /// torn tail, checksum mismatch) is *quarantined* — recorded in `report`
+  /// and left on disk, but not registered — instead of failing the whole
   /// restore. Only an unreadable manifest is fatal. Run-id allocation
   /// continues past every id the manifest mentions, including quarantined
   /// ones, so recovered merge output never collides with leftover files.
@@ -150,7 +142,7 @@ class SpillManager {
   /// every run it covers has been registered via AddRun.
   void SetManifestCheckpoint(const ManifestCheckpoint& checkpoint);
 
-  /// The checkpoint read back by Restore/OpenExisting (empty if the
+  /// The checkpoint read back by OpenExisting (empty if the
   /// manifest had none), updated by SetManifestCheckpoint.
   std::optional<ManifestCheckpoint> manifest_checkpoint() const;
 
@@ -171,13 +163,14 @@ class SpillManager {
   /// recoverable through the manifest.
   void DisownDir();
 
-  /// Opens a registered run for reading. `prefetch_depth_cap` bounds the
-  /// reader's adaptive lookahead window; 0 (the default) apportions the
-  /// manager's prefetch memory budget across the currently registered runs
-  /// (callers that know the merge width — the planner — pass an explicit
-  /// cap instead). Every slot beyond the first is gated by the manager's
-  /// shared PrefetchBudget, so concurrent merges can never exceed the
-  /// configured budget regardless of the caps they pass.
+  /// Opens a registered run for reading, with the background pool's
+  /// prefetcher under it when the manager has one. `prefetch_depth_cap`
+  /// bounds the reader's adaptive lookahead window; 0 (the default)
+  /// apportions the manager's prefetch memory budget across the currently
+  /// registered runs (callers that know the merge width — the planner —
+  /// pass an explicit cap instead). Every slot beyond the first is gated
+  /// by the manager's shared PrefetchBudget, so concurrent merges can
+  /// never exceed the configured budget regardless of the caps they pass.
   Result<std::unique_ptr<RunReader>> OpenRun(
       const RunMeta& meta, size_t prefetch_depth_cap = 0) const;
 
@@ -227,18 +220,16 @@ class SpillManager {
   /// writer/reader is gone.
   std::unique_ptr<ThreadPool> io_pool_;
   /// Bounds the summed prefetch lookahead of every reader opened through
-  /// this manager. Mutable: opening a run for reading is logically const.
+  /// this manager, backed by io_options_.arbiter when set (whose soft
+  /// pressure the readers poll through it). Mutable: opening a run for
+  /// reading is logically const.
   mutable PrefetchBudget prefetch_budget_;
   /// Caps the bytes this manager may hold on disk at once (see
   /// IoPipelineOptions::spill_quota_bytes; 0 disables enforcement).
   mutable SpillQuota spill_quota_;
-  /// Registration of this manager's degradation-ladder responder with
-  /// io_options_.arbiter (0 = none): soft pressure flips the prefetch
-  /// budget's shrink flag so readers halve their lookahead windows.
-  MemoryArbiter::ResponderId pressure_responder_ = 0;
-  /// Whether the destructor removes the directory. Cleared while Restore
-  /// is still loading so a failed restore never destroys the on-disk state
-  /// it was asked to recover.
+  /// Whether the destructor removes the directory. Cleared while
+  /// OpenExisting is still loading so a failed restore never destroys the
+  /// on-disk state it was asked to recover.
   bool owns_dir_ = true;
 
   mutable std::mutex mu_;

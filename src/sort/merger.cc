@@ -28,9 +28,9 @@ struct MergeWay {
     if (eof) {
       exhausted = true;
       ovc = kOvcExhausted;
-      // Leave the shared prefetch budget immediately: the freed slots are
-      // re-apportioned to the surviving ways, whose lookahead windows may
-      // grow mid-step instead of waiting for the merge to finish.
+      // Hand this way's prefetch slots back to the shared budget now rather
+      // than at teardown: a surviving way whose window is still below its
+      // plan-time cap can then reserve them.
       reader->CancelPrefetch();
     } else {
       ++stats->rows_read;

@@ -2,7 +2,6 @@
 
 #include "obs/obs_context.h"
 #include "obs/trace.h"
-#include "row/serialization.h"
 #include "sort/run_generation.h"
 
 namespace topk {
@@ -23,7 +22,6 @@ QuicksortRunGenerator::QuicksortRunGenerator(
     : spill_(spill), comparator_(comparator), options_(options) {}
 
 Status QuicksortRunGenerator::Add(Row row) {
-  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
   const size_t cost = row.MemoryFootprint() + kPerRowOverheadBytes;
   // Under arbiter soft pressure the buffer flushes at half its configured
   // budget: shorter runs, but memory drains while headroom remains.

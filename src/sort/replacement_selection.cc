@@ -4,7 +4,6 @@
 
 #include "obs/obs_context.h"
 #include "obs/trace.h"
-#include "row/serialization.h"
 
 namespace topk {
 
@@ -25,7 +24,6 @@ ReplacementSelectionRunGenerator::ReplacementSelectionRunGenerator(
       options_(options) {}
 
 Status ReplacementSelectionRunGenerator::Add(Row row) {
-  TOPK_RETURN_NOT_OK(ValidateRowPayload(row));
   const NormalizedKey norm = row.normalized_key(comparator_.direction());
   uint64_t seq = current_seq_;
   if (has_last_spilled_ && norm < last_spilled_norm_) {

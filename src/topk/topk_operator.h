@@ -108,9 +108,6 @@ struct TopKOptions {
   /// synchronous I/O (today's deterministic path, byte-identical run
   /// files).
   size_t io_background_threads = 2;
-  /// Read one block ahead of every merge cursor (needs background
-  /// threads).
-  bool enable_io_prefetch = true;
   /// Merge-wide prefetch memory budget (bytes): how much
   /// prefetched-but-unmerged block data all runs of a merge may hold
   /// beyond their first lookahead block. The merge planner apportions it
@@ -127,7 +124,7 @@ struct TopKOptions {
   /// pipeline.
   RetryPolicy io_retry;
 
-  /// Hedge straggling prefetch reads (see PrefetchTuning::hedge_reads): a
+  /// Hedge straggling prefetch reads (see IoPipelineOptions::hedge_reads): a
   /// block overdue against the reader's observed round-trip EWMA is
   /// re-requested on a second handle and the first completion wins. Tames
   /// tail latency on degraded storage at the cost of some duplicate reads.
@@ -169,11 +166,10 @@ struct TopKOptions {
   IoPipelineOptions io_pipeline() const {
     IoPipelineOptions io;
     io.background_threads = io_background_threads;
-    io.enable_prefetch = enable_io_prefetch;
     io.retry = io_retry;
     // The token rides inside the retry policy: RetryOp checks it before
-    // attempts and during backoff, SpillManager::OpenRun copies it into
-    // each reader's PrefetchTuning for the consumer wait.
+    // attempts and during backoff, and prefetch readers poll it in their
+    // consumer wait.
     if (io.retry.cancel == nullptr) io.retry.cancel = cancel.get();
     io.prefetch_memory_budget = prefetch_memory_budget;
     io.hedge_reads = io_hedge_reads;

@@ -299,7 +299,6 @@ TEST_F(AsyncIoTest, PipelinedRunFilesAreByteIdenticalToSynchronous) {
 TEST_F(AsyncIoTest, PipelinedSpillRoundTripAndVerify) {
   IoPipelineOptions io;
   io.background_threads = 2;
-  io.enable_prefetch = true;
   auto spill = SpillManager::Create(&env_, Path("spill"), io);
   ASSERT_TRUE(spill.ok());
   const RowComparator cmp;

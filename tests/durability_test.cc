@@ -9,6 +9,7 @@
 #include "common/crc32.h"
 #include "common/random.h"
 #include "io/spill_manager.h"
+#include "io/spill_quota.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
 
@@ -159,27 +160,31 @@ TEST_F(RunVerifyTest, WrongRowCountDetected) {
 }
 
 TEST(DiskQuotaTest, WritesBeyondQuotaFail) {
-  StorageEnv::Options env_options;
-  env_options.max_bytes_written = 1024;
-  StorageEnv env(env_options);
+  StorageEnv env;
   ScratchDir scratch;
-  auto file = env.NewWritableFile(scratch.str() + "/f");
+  const std::string path = scratch.str() + "/f";
+  auto file = env.NewWritableFile(path);
   ASSERT_TRUE(file.ok());
-  ASSERT_TRUE((*file)->Append(std::string(1000, 'x')).ok());
-  const Status status = (*file)->Append(std::string(100, 'x'));
+  SpillQuota quota(/*quota_bytes=*/1024);
+  QuotaChargingWritableFile charged(std::move(*file), path, &quota);
+  ASSERT_TRUE(charged.Append(std::string(1000, 'x')).ok());
+  const Status status = charged.Append(std::string(100, 'x'));
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
+  // The refused block never reached storage.
+  EXPECT_EQ(quota.charged_bytes(), 1000u);
+  ASSERT_TRUE(charged.Close().ok());
+  EXPECT_EQ(env.stats()->bytes_written(), 1000u);
 }
 
 TEST(DiskQuotaTest, OperatorSurfacesQuotaExhaustion) {
-  StorageEnv::Options env_options;
-  env_options.max_bytes_written = 64 * 1024;  // far below the spill volume
-  StorageEnv env(env_options);
+  StorageEnv env;
   ScratchDir scratch;
   TopKOptions options;
   options.k = 2000;
   options.memory_limit_bytes = 16 * 1024;
   options.env = &env;
   options.spill_dir = scratch.str();
+  options.spill_quota_bytes = 64 * 1024;  // far below the spill volume
   auto op = MakeTopKOperator(TopKAlgorithm::kHistogram, options);
   ASSERT_TRUE(op.ok());
   DatasetSpec spec;
@@ -203,16 +208,15 @@ TEST(DiskQuotaTest, HistogramFitsWhereTraditionalExceedsQuota) {
   spec.WithRows(60000).WithPayload(32, 32).WithSeed(10);
   auto rows = MaterializeDataset(spec);
 
-  StorageEnv::Options env_options;
-  env_options.max_bytes_written = 2 << 20;  // 2 MiB scratch
   for (TopKAlgorithm algorithm :
        {TopKAlgorithm::kTraditionalExternal, TopKAlgorithm::kHistogram}) {
-    StorageEnv env(env_options);
+    StorageEnv env;
     TopKOptions options;
     options.k = 1000;
     options.memory_limit_bytes = 16 * 1024;
     options.env = &env;
     options.spill_dir = scratch.str() + "/" + TopKAlgorithmName(algorithm);
+    options.spill_quota_bytes = 2 << 20;  // 2 MiB scratch
     auto op = MakeTopKOperator(algorithm, options);
     ASSERT_TRUE(op.ok());
     Status status = Status::OK();

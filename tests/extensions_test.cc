@@ -10,6 +10,7 @@
 #include "extensions/grouped_topk.h"
 #include "extensions/parallel_topk.h"
 #include "extensions/segmented_topk.h"
+#include "row/serialization.h"
 #include "tests/test_util.h"
 
 namespace topk {
@@ -316,6 +317,30 @@ TEST_F(ExtensionsTest, ParallelIndependentFiltersStillCorrect) {
   ExpectSameRows(ReferenceTopK(rows, 500, 0, SortDirection::kAscending),
                  *result);
   EXPECT_TRUE((*op)->stats().final_cutoff.has_value());
+}
+
+TEST_F(ExtensionsTest, ParallelTopKRejectsOversizedPayloadAtConsume) {
+  // The oversized row fails the Consume that delivers it, and only that
+  // row: the query goes on and still returns the exact top-k.
+  ParallelTopK::Options options;
+  options.base = BaseOptions(100, 32 * 1024);
+  options.num_workers = 2;
+  auto op = ParallelTopK::Make(options);
+  ASSERT_TRUE(op.ok());
+  Status status =
+      (*op)->Consume(Row(-1.0, 0, std::string(kMaxRowPayloadBytes + 1, 'x')));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+
+  DatasetSpec spec;
+  spec.WithRows(5000).WithSeed(10);
+  auto rows = MaterializeDataset(spec);
+  for (const Row& row : rows) {
+    ASSERT_TRUE((*op)->Consume(row).ok());
+  }
+  auto result = (*op)->Finish();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectSameRows(ReferenceTopK(rows, 100, 0, SortDirection::kAscending),
+                 *result);
 }
 
 TEST_F(ExtensionsTest, ParallelTopKRejectsZeroWorkers) {

@@ -313,7 +313,7 @@ TEST(PermanentFaultTest, BitFlipCaughtByInlineChecksum) {
   verify.expected_rows = meta.rows;
   verify.run_id = meta.id;
   auto reader = RunReader::Open(&faulty_env, meta.path, kDefaultBlockBytes,
-                                nullptr, RetryPolicy(), verify);
+                                nullptr, IoPipelineOptions(), verify);
   Status status = Status::OK();
   if (!reader.ok()) {
     status = reader.status();  // the flipped bit may hit the magic/framing

@@ -101,13 +101,13 @@ TEST(HedgedReadTest, HedgeBeatsStragglingPrimaryByteIdentically) {
   // threshold is 2 ms, so the consumer hedges long before it completes.
   auto straggler = std::make_unique<StragglingFile>(
       std::move(*base), /*straggle_offset=*/0, /*sleep_nanos=*/300'000'000);
-  PrefetchTuning tuning;
-  tuning.hedge_reads = true;
-  tuning.hedge_min_nanos = 2'000'000;
+  IoPipelineOptions io;
+  io.hedge_reads = true;
+  io.hedge_min_nanos = 2'000'000;
   PrefetchingBlockReader reader(
       std::move(straggler), &pool, kBlock, /*depth_cap=*/2,
       /*budget=*/nullptr,
-      [&]() { return env.NewSequentialFile(path); }, tuning);
+      [&]() { return env.NewSequentialFile(path); }, io);
 
   std::string got(expected.size(), '\0');
   size_t off = 0;
@@ -135,12 +135,12 @@ TEST(HedgedReadTest, NoHedgesOnHealthyStorage) {
   ThreadPool pool(2);
   auto base = env.NewSequentialFile(path);
   ASSERT_TRUE(base.ok());
-  PrefetchTuning tuning;
-  tuning.hedge_reads = true;
-  tuning.hedge_min_nanos = 500'000'000;  // far beyond any local read
+  IoPipelineOptions io;
+  io.hedge_reads = true;
+  io.hedge_min_nanos = 500'000'000;  // far beyond any local read
   PrefetchingBlockReader reader(
       std::move(*base), &pool, kBlock, /*depth_cap=*/2, /*budget=*/nullptr,
-      [&]() { return env.NewSequentialFile(path); }, tuning);
+      [&]() { return env.NewSequentialFile(path); }, io);
   std::string got(expected.size(), '\0');
   size_t off = 0;
   while (off < got.size()) {
@@ -167,11 +167,11 @@ TEST(ReadDeadlineTest, HungFetchSurfacesUnavailable) {
   // Unavailable instead of hanging for the duration of the stall.
   auto straggler = std::make_unique<StragglingFile>(
       std::move(*base), /*straggle_offset=*/0, /*sleep_nanos=*/400'000'000);
-  PrefetchTuning tuning;
-  tuning.read_deadline_nanos = 50'000'000;
+  IoPipelineOptions io;
+  io.retry.deadline_nanos = 50'000'000;
   {
     PrefetchingBlockReader reader(std::move(straggler), &pool, kBlock,
-                                  /*depth_cap=*/1, nullptr, nullptr, tuning);
+                                  /*depth_cap=*/1, nullptr, nullptr, io);
     char buf[kBlock];
     size_t bytes_read = 0;
     Status status = reader.Read(kBlock, buf, &bytes_read);

@@ -1,5 +1,5 @@
 /// Unit tests for the process-wide memory arbiter: lease accounting, the
-/// pressure ladder, hard-pressure admission control, responder callbacks,
+/// pressure ladder, hard-pressure admission control, the pressure poll,
 /// chunked lease growth, and deterministic allocation-fault injection.
 
 #include "common/resource_arbiter.h"
@@ -10,6 +10,8 @@
 #include <new>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace topk {
 namespace {
@@ -84,25 +86,21 @@ TEST(MemoryArbiterTest, HardPressureRefusesNewLeasesButAllowsGrowth) {
   EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
 }
 
-TEST(MemoryArbiterTest, RespondersSeeEveryTransition) {
+TEST(MemoryArbiterTest, PressurePollSeesEveryTransition) {
   MemoryArbiter arbiter(BudgetOptions(100000));
-  std::vector<MemoryPressure> seen;
-  const auto id = arbiter.AddPressureResponder(
-      [&seen](MemoryPressure level) { seen.push_back(level); });
+  MetricsCounter* transitions =
+      GlobalMetrics().GetCounter("mem.arbiter.pressure_transitions");
+  const uint64_t before = transitions->value();
+  EXPECT_EQ(arbiter.pressure(), MemoryPressure::kOk);
 
-  auto lease = arbiter.Acquire("resp", 80000);  // ok -> soft
+  auto lease = arbiter.Acquire("poll", 80000);  // ok -> soft
   ASSERT_TRUE(lease.ok());
+  EXPECT_EQ(arbiter.pressure(), MemoryPressure::kSoft);
   ASSERT_TRUE(lease->Grow(16000).ok());  // soft -> hard
-  lease->Release();                      // hard -> ok
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], MemoryPressure::kSoft);
-  EXPECT_EQ(seen[1], MemoryPressure::kHard);
-  EXPECT_EQ(seen[2], MemoryPressure::kOk);
-
-  arbiter.RemovePressureResponder(id);
-  auto again = arbiter.Acquire("resp2", 80000);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(seen.size(), 3u);  // removed responder stays silent
+  EXPECT_EQ(arbiter.pressure(), MemoryPressure::kHard);
+  lease->Release();  // hard -> ok
+  EXPECT_EQ(arbiter.pressure(), MemoryPressure::kOk);
+  EXPECT_EQ(transitions->value(), before + 3);
 }
 
 TEST(MemoryArbiterTest, NthGrantDenied) {

@@ -75,5 +75,34 @@ TEST(FormatOperatorStatsTest, OptionalSectionsAppearWhenPopulated) {
   EXPECT_EQ(report.find("(none)"), std::string::npos);
 }
 
+TEST(StatsReporterTest, FormatCountGroupsThousands) {
+  EXPECT_EQ(FormatCount(0), "0");
+  EXPECT_EQ(FormatCount(999), "999");
+  EXPECT_EQ(FormatCount(1000), "1,000");
+  EXPECT_EQ(FormatCount(1234567), "1,234,567");
+  EXPECT_EQ(FormatCount(12345678), "12,345,678");
+}
+
+TEST(StatsReporterTest, FormatOperatorStatsMentionsKeyFields) {
+  OperatorStats stats;
+  stats.rows_consumed = 1000;
+  stats.rows_eliminated_input = 600;
+  stats.rows_spilled = 300;
+  stats.final_cutoff = 0.25;
+  stats.filter_buckets_inserted = 42;
+  const std::string report = FormatOperatorStats(stats);
+  EXPECT_NE(report.find("rows consumed"), std::string::npos);
+  EXPECT_NE(report.find("1,000"), std::string::npos);
+  EXPECT_NE(report.find("(60.0%)"), std::string::npos);
+  EXPECT_NE(report.find("0.25"), std::string::npos);
+  EXPECT_NE(report.find("buckets inserted"), std::string::npos);
+}
+
+TEST(StatsReporterTest, NoCutoffPrintsNone) {
+  OperatorStats stats;
+  const std::string report = FormatOperatorStats(stats);
+  EXPECT_NE(report.find("(none)"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace topk

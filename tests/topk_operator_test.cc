@@ -1,7 +1,8 @@
 /// Cross-algorithm integration suite: every top-k operator must return
 /// byte-identical results to a full reference sort, across algorithms,
 /// distributions, directions, output sizes, payload shapes and memory
-/// budgets — including configurations that force heavy spilling.
+/// budgets — including configurations that force heavy spilling, and the
+/// full external sort (the traditional operator with k = n).
 
 #include <tuple>
 
@@ -10,6 +11,7 @@
 #include "gen/distribution.h"
 #include "tests/test_util.h"
 #include "topk/operator_factory.h"
+#include "topk/traditional_external_topk.h"
 
 namespace topk {
 namespace {
@@ -142,6 +144,63 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// --- full external sort: the traditional operator with k = n ---
+
+/// A full sort of `rows` through TraditionalExternalTopK with k = n, under
+/// `options` (env and spill dir filled in here).
+void ExpectFullSort(const std::vector<Row>& rows, TopKOptions options,
+                    uint64_t* rows_spilled = nullptr) {
+  ScratchDir scratch;
+  StorageEnv env;
+  options.k = rows.size();
+  options.env = &env;
+  options.spill_dir = scratch.str();
+  auto op = TraditionalExternalTopK::Make(options);
+  ASSERT_TRUE(op.ok()) << op.status().ToString();
+  auto sorted = RunOperator(op->get(), rows);
+  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+  ExpectSameRows(ReferenceTopK(rows, rows.size(), 0, options.direction),
+                 *sorted);
+  if (rows_spilled != nullptr) *rows_spilled = (*op)->stats().rows_spilled;
+}
+
+TEST(FullSortTest, SortsSpillingInput) {
+  DatasetSpec spec;
+  spec.WithRows(20000).WithPayload(4, 24).WithSeed(1);
+  TopKOptions options;
+  options.memory_limit_bytes = 32 * 1024;
+  uint64_t rows_spilled = 0;
+  ExpectFullSort(MaterializeDataset(spec), options, &rows_spilled);
+  EXPECT_EQ(rows_spilled, 20000u);
+}
+
+TEST(FullSortTest, DescendingDirection) {
+  DatasetSpec spec;
+  spec.WithRows(5000).WithSeed(2);
+  TopKOptions options;
+  options.memory_limit_bytes = 32 * 1024;
+  options.direction = SortDirection::kDescending;
+  ExpectFullSort(MaterializeDataset(spec), options);
+}
+
+TEST(FullSortTest, TinyFanInMultiPass) {
+  DatasetSpec spec;
+  spec.WithRows(10000).WithSeed(3);
+  TopKOptions options;
+  options.memory_limit_bytes = 8 * 1024;
+  options.merge_fan_in = 2;
+  ExpectFullSort(MaterializeDataset(spec), options);
+}
+
+TEST(FullSortTest, QuicksortRunGeneration) {
+  DatasetSpec spec;
+  spec.WithRows(8000).WithSeed(4);
+  TopKOptions options;
+  options.memory_limit_bytes = 32 * 1024;
+  options.run_generation = RunGenerationKind::kQuicksort;
+  ExpectFullSort(MaterializeDataset(spec), options);
+}
 
 // --- quicksort run generation variant ---
 
